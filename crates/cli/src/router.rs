@@ -18,11 +18,14 @@
 //! body.
 //!
 //! Sessions are *pipelined*: a client may write up to `--pipeline K`
-//! request lines (default 8) without waiting for responses. The router
-//! forwards them concurrently and streams the response frames back in
-//! arrival order, so a burst over one connection overlaps worker time
-//! instead of serializing on round trips. `--pipeline 1` restores
-//! strict lockstep.
+//! request lines (default 8) without waiting for responses. A request
+//! that arrives alone — no forward in flight, no further bytes buffered —
+//! is forwarded inline on the session thread. A burst fans out to up to
+//! K forwards on scoped threads, so it overlaps worker time instead of
+//! serializing on round trips. Frames are numbered in arrival order, and
+//! the thread that completes the next frame due writes it (and any later
+//! ones parked behind it) under one lock, so a lone request writes its
+//! own frame with no hand-off. `--pipeline 1` is strict lockstep.
 //!
 //! Membership is *dynamic*: a `ghr-join <endpoint>` control frame
 //! attaches a new worker at runtime, and a worker dead past
@@ -395,10 +398,11 @@ mod socket {
     use super::{HashRing, RouterOptions};
     use crate::serve::{self, sig, Admission, RawRead};
     use ghr_types::{wire, Endpoint, RequestId, RouterStats, RouterWorkerStats};
-    use std::io::{BufRead, BufReader, Write};
+    use std::collections::BTreeMap;
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::process::{Child, Command, Stdio};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
@@ -426,6 +430,12 @@ mod socket {
     /// re-routes like any other worker fault.
     const WORKER_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
+    /// Lock `m`, riding over poisoning: every guarded value here stays
+    /// consistent across a panicking holder.
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// One pooled worker connection: the write half plus a buffered
     /// reader over its clone. Reads are bounded by
     /// [`WORKER_READ_TIMEOUT`] — a killed worker closes the socket
@@ -446,11 +456,13 @@ mod socket {
             })
         }
 
-        /// Send one request line and read back the whole response frame.
+        /// Send one request line (line and newline in one write) and
+        /// read back the whole response frame.
         fn exchange(&mut self, line: &str) -> std::io::Result<Vec<u8>> {
-            self.writer.write_all(line.as_bytes())?;
-            self.writer.write_all(b"\n")?;
-            self.writer.flush()?;
+            let mut request = Vec::with_capacity(line.len() + 1);
+            request.extend_from_slice(line.as_bytes());
+            request.push(b'\n');
+            self.writer.write_all(&request)?;
             read_frame(&mut self.reader)
         }
     }
@@ -559,10 +571,7 @@ mod socket {
         /// not already running).
         fn mark_dead(&self) {
             self.alive.store(false, Ordering::SeqCst);
-            let mut since = self
-                .dead_since
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut since = lock(&self.dead_since);
             if since.is_none() {
                 *since = Some(Instant::now());
             }
@@ -572,10 +581,7 @@ mod socket {
         fn revive(&self) {
             self.alive.store(true, Ordering::SeqCst);
             self.retired.store(false, Ordering::SeqCst);
-            *self
-                .dead_since
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = None;
+            *lock(&self.dead_since) = None;
         }
 
         /// Forward one line and return the whole response frame. A
@@ -600,26 +606,17 @@ mod socket {
         }
 
         fn checkout(&self) -> Option<Conn> {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop()
+            lock(&self.pool).pop()
         }
 
         fn checkin(&self, conn: Conn) {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(conn);
+            lock(&self.pool).push(conn);
         }
 
         /// Drop every pooled connection (their worker sessions drain on
         /// EOF).
         fn drain_pool(&self) {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
+            lock(&self.pool).clear();
         }
     }
 
@@ -691,6 +688,11 @@ mod socket {
         }
     }
 
+    /// Write one line to stderr in a single `write` call.
+    fn log(args: std::fmt::Arguments<'_>) {
+        serve::log_line(&mut std::io::stderr(), args);
+    }
+
     /// Route one request line and return the whole response frame: pick
     /// the owner on the ring, apply its in-flight budget, forward. A
     /// forward failure marks the worker dead and walks to the ring
@@ -705,7 +707,9 @@ mod socket {
                     Some(w) => Arc::clone(&members.workers[w]),
                     None => {
                         router.unrouted.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("router[{session}]: {line} -> no live worker (id={key:016x})");
+                        log(format_args!(
+                            "router[{session}]: {line} -> no live worker (id={key:016x})"
+                        ));
                         return wire::error_frame(wire::REASON_NO_WORKER).into_bytes();
                     }
                 }
@@ -717,10 +721,10 @@ mod socket {
             let permit = match worker.admission.as_ref().map(Admission::try_admit) {
                 Some(None) => {
                     worker.rejected.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
+                    log(format_args!(
                         "router[{session}]: {line} -> {} rejected (overload)",
                         worker.name
-                    );
+                    ));
                     return wire::error_frame(wire::REASON_OVERLOAD).into_bytes();
                 }
                 Some(permit @ Some(_)) => permit,
@@ -732,22 +736,22 @@ mod socket {
             match result {
                 Ok(frame) => {
                     worker.forwarded.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
+                    log(format_args!(
                         "router[{session}]: {line} -> {} id={key:016x} ({} bytes, {:.1} ms)",
                         worker.name,
                         frame.len(),
                         t0.elapsed().as_secs_f64() * 1000.0
-                    );
+                    ));
                     return frame;
                 }
                 Err(e) => {
                     worker.mark_dead();
                     worker.rerouted.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
+                    log(format_args!(
                         "router[{session}]: {} failed ({e}); re-routing id={key:016x} \
                          to the ring successor",
                         worker.name
-                    );
+                    ));
                 }
             }
         }
@@ -817,111 +821,81 @@ mod socket {
         .into_bytes()
     }
 
-    /// A counting semaphore bounding in-flight forwards per session
-    /// (the pipeline depth).
-    struct Gate {
-        max: usize,
-        n: Mutex<usize>,
-        cv: Condvar,
+    /// A session's response side. Frames are numbered in arrival order;
+    /// whichever thread completes the frame that is due writes it, then
+    /// every later frame parked behind it, all under the one lock that
+    /// guards this — so a lone request writes its own frame, with no
+    /// hand-off.
+    struct Output<W> {
+        out: W,
+        /// Sequence number of the next frame due on the wire.
+        next: u64,
+        /// Completed frames waiting for an earlier one.
+        parked: BTreeMap<u64, Vec<u8>>,
+        /// Forwards running on their own threads.
+        forwards: usize,
+        /// The first write error: the client is gone, later frames drop.
+        failed: Option<std::io::Error>,
     }
 
-    impl Gate {
-        fn new(max: usize) -> Gate {
-            Gate {
-                max,
-                n: Mutex::new(0),
-                cv: Condvar::new(),
+    impl<W: Write> Output<W> {
+        /// Hand in frame `seq`; returns whether the client is still there.
+        fn put(&mut self, seq: u64, mut frame: Vec<u8>) -> bool {
+            if seq != self.next {
+                self.parked.insert(seq, frame);
+                return self.failed.is_none();
             }
-        }
-
-        fn acquire(&self) {
-            let mut n = self.n.lock().unwrap_or_else(PoisonError::into_inner);
-            while *n >= self.max {
-                n = self.cv.wait(n).unwrap_or_else(PoisonError::into_inner);
-            }
-            *n += 1;
-        }
-
-        fn release(&self) {
-            *self.n.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-            self.cv.notify_one();
-        }
-    }
-
-    /// One response frame's place in the session's output order. Slots
-    /// enter the writer queue in request-arrival order and each blocks
-    /// the writer until its forward fills it — which is exactly
-    /// "responses stream back in arrival order".
-    struct Slot {
-        frame: Mutex<Option<Vec<u8>>>,
-        filled: Condvar,
-    }
-
-    impl Slot {
-        fn empty() -> Arc<Slot> {
-            Arc::new(Slot {
-                frame: Mutex::new(None),
-                filled: Condvar::new(),
-            })
-        }
-
-        /// A slot that is already complete (error frames, join
-        /// responses, lockstep forwards).
-        fn ready(bytes: Vec<u8>) -> Arc<Slot> {
-            Arc::new(Slot {
-                frame: Mutex::new(Some(bytes)),
-                filled: Condvar::new(),
-            })
-        }
-
-        fn fill(&self, bytes: Vec<u8>) {
-            let mut frame = self.frame.lock().unwrap_or_else(PoisonError::into_inner);
-            *frame = Some(bytes);
-            self.filled.notify_all();
-        }
-
-        fn take(&self) -> Vec<u8> {
-            let mut frame = self.frame.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(bytes) = frame.take() {
-                    return bytes;
+                if self.failed.is_none() {
+                    if let Err(e) = self.out.write_all(&frame).and_then(|()| self.out.flush()) {
+                        self.failed = Some(e);
+                    }
                 }
-                frame = self
-                    .filled
-                    .wait(frame)
-                    .unwrap_or_else(PoisonError::into_inner);
+                self.next += 1;
+                match self.parked.remove(&self.next) {
+                    Some(later) => frame = later,
+                    None => return self.failed.is_none(),
+                }
             }
         }
     }
 
     /// One client session: read request lines with the serve framing
-    /// rules and forward each, until EOF/quit/shutdown. Up to
-    /// `pipeline` forwards run concurrently; a writer thread streams
-    /// the response frames back in arrival order. Returns whether this
-    /// session asked the whole router to shut down.
+    /// rules and forward each, until EOF/quit/shutdown. A request that
+    /// arrives alone (no forward in flight, no further bytes buffered)
+    /// is forwarded on this thread; a burst fans out to up to
+    /// `pipeline` forwards on scoped threads. Frames go back in arrival
+    /// order through [`Output`].
     fn router_session<W: Write + Send>(
         router: &Router,
         session: u64,
-        input: &mut impl BufRead,
+        input: &mut BufReader<impl Read>,
         out: W,
         shutdown: &AtomicBool,
         max_frame: usize,
         pipeline: usize,
-    ) -> std::io::Result<bool> {
-        let gate = Gate::new(pipeline.max(1));
-        let gate = &gate;
-        let (tx, rx) = mpsc::channel::<Arc<Slot>>();
+    ) -> std::io::Result<()> {
+        let pipeline = pipeline.max(1);
+        let output = Mutex::new(Output {
+            out,
+            next: 0,
+            parked: BTreeMap::new(),
+            forwards: 0,
+            failed: None,
+        });
+        // Signalled whenever a pipelined forward finishes.
+        let freed = Condvar::new();
+        // The output, once fewer than `limit` pipelined forwards run.
+        let below = |limit: usize| {
+            let mut state = lock(&output);
+            while state.forwards >= limit {
+                state = freed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            state
+        };
         std::thread::scope(|scope| {
-            let writer = scope.spawn(move || -> std::io::Result<()> {
-                let mut out = out;
-                for slot in rx {
-                    let frame = slot.take();
-                    out.write_all(&frame)?;
-                    out.flush()?;
-                }
-                Ok(())
-            });
-            let mut wants_shutdown = false;
+            let (output, freed) = (&output, &freed);
+            let mut seq = 0u64;
             let mut buf: Vec<u8> = Vec::new();
             let hard_cap = serve::HARD_LINE_CAP.max(max_frame.saturating_add(1));
             loop {
@@ -935,25 +909,23 @@ mod socket {
                     RawRead::Eof => {
                         if !buf.is_empty() {
                             router.malformed.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(Slot::ready(
-                                wire::error_frame(wire::REASON_TRUNCATED).into_bytes(),
-                            ));
+                            let frame = wire::error_frame(wire::REASON_TRUNCATED);
+                            lock(output).put(seq, frame.into_bytes());
                         }
                         break;
                     }
                     RawRead::Line => {}
                 }
+                let this = seq;
                 let line = match serve::classify_line(&buf, max_frame) {
                     Ok(s) => s.trim().to_string(),
                     Err(reason) => {
                         router.malformed.fetch_add(1, Ordering::Relaxed);
-                        if tx
-                            .send(Slot::ready(wire::error_frame(reason).into_bytes()))
-                            .is_err()
-                        {
-                            break; // writer (and so the client) is gone
-                        }
                         buf.clear();
+                        seq += 1;
+                        if !lock(output).put(this, wire::error_frame(reason).into_bytes()) {
+                            break; // the client is gone
+                        }
                         continue;
                     }
                 };
@@ -967,50 +939,48 @@ mod socket {
                 if line == wire::SHUTDOWN_LINE {
                     shutdown.store(true, Ordering::SeqCst);
                     eprintln!("router[{session}]: shutdown frame received; draining");
-                    wants_shutdown = true;
                     break;
                 }
-                if line.starts_with(wire::JOIN_PREFIX) {
-                    // Joins rebuild the ring; handled inline so every
-                    // earlier line routed on the old ring and every
-                    // later one on the new.
+                seq += 1;
+                let delivered = if line.starts_with(wire::JOIN_PREFIX) {
+                    // A join waits out every earlier forward, so each
+                    // line routes on the ring current when it arrived.
+                    drop(below(1));
                     let frame = handle_join(router, session, &line);
-                    if tx.send(Slot::ready(frame)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                router.requests.fetch_add(1, Ordering::Relaxed);
-                if pipeline <= 1 {
-                    // Lockstep: forward inline, no extra thread.
-                    let frame = route_frame(router, session, &line);
-                    if tx.send(Slot::ready(frame)).is_err() {
-                        break;
-                    }
+                    lock(output).put(this, frame)
                 } else {
-                    gate.acquire();
-                    let slot = Slot::empty();
-                    if tx.send(Arc::clone(&slot)).is_err() {
-                        gate.release();
-                        break;
+                    router.requests.fetch_add(1, Ordering::Relaxed);
+                    let mut state = below(pipeline);
+                    if state.forwards == 0 && (pipeline == 1 || input.buffer().is_empty()) {
+                        drop(state);
+                        let frame = route_frame(router, session, &line);
+                        lock(output).put(this, frame)
+                    } else {
+                        state.forwards += 1;
+                        drop(state);
+                        scope.spawn(move || {
+                            let frame = route_frame(router, session, &line);
+                            let mut state = lock(output);
+                            state.forwards -= 1;
+                            state.put(this, frame);
+                            freed.notify_one();
+                        });
+                        true
                     }
-                    scope.spawn(move || {
-                        slot.fill(route_frame(router, session, &line));
-                        gate.release();
-                    });
-                }
-                if shutdown.load(Ordering::SeqCst) && !wants_shutdown {
+                };
+                if !delivered || shutdown.load(Ordering::SeqCst) {
                     break;
                 }
             }
-            drop(tx); // writer drains the remaining slots, then exits
-            match writer.join() {
-                Ok(result) => result.map(|()| wants_shutdown),
-                // A panicking writer already lost the client; the
-                // session just ends.
-                Err(_) => Ok(wants_shutdown),
-            }
-        })
+        });
+        match output
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .failed
+        {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// The base path spawned workers hang their unix sockets off: the
@@ -1082,10 +1052,7 @@ mod socket {
                 if worker.endpoint.probe() {
                     break;
                 }
-                let exited = worker
-                    .child
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
+                let exited = lock(&worker.child)
                     .as_mut()
                     .and_then(|c| c.try_wait().ok().flatten());
                 if let Some(status) = exited {
@@ -1112,7 +1079,7 @@ mod socket {
     /// Gracefully stop one spawned worker: `ghr-shutdown` over its
     /// socket, a bounded wait, then a kill as the backstop.
     fn stop_worker(worker: &Worker) {
-        let mut child = worker.child.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut child = lock(&worker.child);
         let Some(child) = child.as_mut() else {
             return; // attached worker: not ours to stop
         };
@@ -1242,10 +1209,7 @@ mod socket {
                             worker.revive();
                             eprintln!("router: {} is back; range restored", worker.name);
                         } else if let Some(window) = retire_after {
-                            let expired = worker
-                                .dead_since
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
+                            let expired = lock(&worker.dead_since)
                                 .map(|t| t.elapsed() >= window)
                                 .unwrap_or(false);
                             if expired {

@@ -252,6 +252,8 @@ pub fn serve_session(
 ) -> Result<ServeSummary, String> {
     let mut summary = ServeSummary::default();
     let mut buf: Vec<u8> = Vec::new();
+    // Each response frame is encoded here whole, then written once.
+    let mut frame: Vec<u8> = Vec::new();
     // The buffering ceiling must exceed the frame cap so an over-cap line
     // is stored far enough to be *classified* as oversized, while a
     // pathological line still cannot balloon memory.
@@ -269,10 +271,12 @@ pub fn serve_session(
                     summary.stats.malformed += 1;
                     write_error_frame(out, wire::REASON_TRUNCATED)
                         .map_err(|e| format!("serve: write failed: {e}"))?;
-                    let _ = writeln!(
+                    log_line(
                         err,
-                        "serve[{session}]: rejected malformed frame ({})",
-                        wire::REASON_TRUNCATED
+                        format_args!(
+                            "serve[{session}]: rejected malformed frame ({})",
+                            wire::REASON_TRUNCATED
+                        ),
                     );
                     buf.clear();
                 }
@@ -285,7 +289,10 @@ pub fn serve_session(
             Err(reason) => {
                 summary.stats.malformed += 1;
                 write_error_frame(out, reason).map_err(|e| format!("serve: write failed: {e}"))?;
-                let _ = writeln!(err, "serve[{session}]: rejected malformed frame ({reason})");
+                log_line(
+                    err,
+                    format_args!("serve[{session}]: rejected malformed frame ({reason})"),
+                );
                 buf.clear();
                 continue;
             }
@@ -302,7 +309,10 @@ pub fn serve_session(
         if line == wire::SHUTDOWN_LINE {
             summary.quit = true;
             shutdown.store(true, Ordering::SeqCst);
-            let _ = writeln!(err, "serve[{session}]: shutdown frame received; draining");
+            log_line(
+                err,
+                format_args!("serve[{session}]: shutdown frame received; draining"),
+            );
             break;
         }
         let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
@@ -316,7 +326,10 @@ pub fn serve_session(
                 summary.stats.overloaded += 1;
                 write_error_frame(out, wire::REASON_OVERLOAD)
                     .map_err(|e| format!("serve: write failed: {e}"))?;
-                let _ = writeln!(err, "serve[{session}]: rejected {line} (overload)");
+                log_line(
+                    err,
+                    format_args!("serve[{session}]: rejected {line} (overload)"),
+                );
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
@@ -351,18 +364,22 @@ pub fn serve_session(
                 ("error", "-".repeat(16), format!("error: {e}\n"), "no", 0)
             }
         };
-        write_frame(out, &id, status, &body, evals, cached)
+        encode_frame(&mut frame, &id, status, &body, evals, cached);
+        out.write_all(&frame)
+            .and_then(|()| out.flush())
             .map_err(|e| format!("serve: write failed: {e}"))?;
         if let Err(e) = engine.flush_store() {
-            let _ = writeln!(
+            log_line(
                 err,
-                "serve[{session}]: warning: persistent cache flush failed: {e}"
+                format_args!("serve[{session}]: warning: persistent cache flush failed: {e}"),
             );
         }
-        let _ = writeln!(
+        log_line(
             err,
-            "serve[{session}]: {line} -> {status} id={id} evals={evals} cached={cached} {:.1} ms",
-            t0.elapsed().as_secs_f64() * 1000.0
+            format_args!(
+                "serve[{session}]: {line} -> {status} id={id} evals={evals} cached={cached} {:.1} ms",
+                t0.elapsed().as_secs_f64() * 1000.0
+            ),
         );
         if shutdown.load(Ordering::SeqCst) {
             break;
@@ -420,23 +437,28 @@ fn serve_one(
     ))
 }
 
-fn write_frame(
-    out: &mut impl Write,
-    id: &str,
-    status: &str,
-    body: &str,
-    evals: u64,
-    cached: &str,
-) -> std::io::Result<()> {
-    writeln!(
-        out,
+/// Encode one response frame into `frame` (cleared first): header, body
+/// and trailer, so the whole frame reaches the socket in one write.
+fn encode_frame(frame: &mut Vec<u8>, id: &str, status: &str, body: &str, evals: u64, cached: &str) {
+    frame.clear();
+    let _ = writeln!(
+        frame,
         "{}id={id} status={status} bytes={} evals={evals} cached={cached}",
         wire::RESPONSE_PREFIX,
         body.len(),
-    )?;
-    out.write_all(body.as_bytes())?;
-    writeln!(out, "{}", wire::FRAME_END)?;
-    out.flush()
+    );
+    frame.extend_from_slice(body.as_bytes());
+    frame.extend_from_slice(wire::FRAME_END.as_bytes());
+    frame.push(b'\n');
+}
+
+/// Write one log line in a single `write` call. The line is formatted in
+/// memory first: an unbuffered stderr would otherwise take one `write(2)`
+/// per format fragment.
+pub(crate) fn log_line(err: &mut impl Write, args: std::fmt::Arguments<'_>) {
+    let mut line = args.to_string();
+    line.push('\n');
+    let _ = err.write_all(line.as_bytes());
 }
 
 /// Reject a malformed line at the framing layer: a body-less error frame
@@ -984,6 +1006,85 @@ mod tests {
         let body_start = out.find('\n').unwrap() + 1;
         let body_end = out.rfind("ghr-end\n").unwrap();
         assert_eq!(bytes, body_end - body_start, "{header}");
+    }
+
+    /// A writer that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_and_log_line_is_one_write() {
+        let e = engine();
+        let shutdown = AtomicBool::new(false);
+        let admission = Admission::new(1);
+        let config = SessionConfig {
+            max_frame: MAX_REQUEST_LINE,
+            admission: Some(&admission),
+        };
+        let mut out = Writes::default();
+        let mut err = Writes::default();
+        let mut input = BufReader::new("table1\ntable1\nbad\0byte\nfrobnicate\n".as_bytes());
+        serve_session(&e, 1, &mut input, &mut out, &mut err, &shutdown, &config).unwrap();
+        // With the only permit held, the next request is an overload frame.
+        let held = admission
+            .try_admit()
+            .expect("the budget is free between sessions");
+        let mut input = BufReader::new("table1\n".as_bytes());
+        serve_session(&e, 2, &mut input, &mut out, &mut err, &shutdown, &config).unwrap();
+        drop(held);
+
+        let id = crate::request_for("table1", &[])
+            .unwrap()
+            .unwrap()
+            .id()
+            .to_string();
+        let body = crate::run("table1", &[]).unwrap();
+        let ok = |evals: u64, cached: &str| {
+            format!(
+                "ghr-response id={id} status=ok bytes={} evals={evals} cached={cached}\n{body}ghr-end\n",
+                body.len()
+            )
+        };
+        let writes: Vec<String> = out
+            .0
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).unwrap())
+            .collect();
+        assert_eq!(writes.len(), 5, "one write per frame: {writes:#?}");
+        assert_eq!(writes[0], ok(8, "no"));
+        assert_eq!(writes[1], ok(0, "yes"));
+        assert_eq!(writes[2], "ghr-error reason=nul-byte\nghr-end\n");
+        assert!(
+            writes[3].starts_with("ghr-response id=---------------- status=error bytes=")
+                && writes[3].ends_with("\nghr-end\n"),
+            "{}",
+            writes[3]
+        );
+        assert_eq!(writes[4], "ghr-error reason=overload\nghr-end\n");
+
+        let logs: Vec<String> = err
+            .0
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).unwrap())
+            .collect();
+        assert_eq!(logs.len(), 5, "one write per log line: {logs:#?}");
+        for log in &logs {
+            assert!(
+                log.ends_with('\n') && log.matches('\n').count() == 1,
+                "{log:?}"
+            );
+        }
     }
 
     #[test]

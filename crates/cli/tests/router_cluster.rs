@@ -1,16 +1,20 @@
 //! End-to-end router test over two *real* `ghr serve` worker processes:
-//! frames stream back byte-identically, routing is deterministic and
-//! cache-local, a killed worker's ids are answered warm by the ring
-//! successor (through the shared persistent store), and a fully dead
-//! cluster degrades to `reason=no-live-worker` instead of hanging.
+//! frames stream back byte-identically, a pipelined duplicate evaluates
+//! nothing, a repeat in a later call is an exact response-cache hit,
+//! routing is deterministic and cache-local, a killed worker's ids are
+//! answered warm by the ring successor (through the shared persistent
+//! store), and a fully dead cluster degrades to `reason=no-live-worker`
+//! instead of hanging.
 
 #![cfg(unix)]
 
+mod common;
+
+use common::{parse_frames, spawn_worker, Spawned};
 use ghr_cli::router::{route_key, run_router, HashRing, RouterOptions};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn tmp_dir() -> PathBuf {
@@ -18,24 +22,6 @@ fn tmp_dir() -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn spawn_worker(sock: &Path, cache: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_ghr"))
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--sessions",
-            "4",
-            "--cache-dir",
-            cache.to_str().unwrap(),
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ghr serve")
 }
 
 fn await_socket(path: &Path) {
@@ -57,40 +43,13 @@ fn client(socket: &Path, lines: &str) -> String {
     out
 }
 
-/// Split a concatenation of `ghr-response`/`ghr-error` frames into
-/// `(header, body)` pairs.
-fn parse_frames(text: &str) -> Vec<(String, String)> {
-    let mut frames = Vec::new();
-    let mut rest = text;
-    while !rest.is_empty() {
-        let (header, tail) = rest.split_once('\n').expect("frame header line");
-        if header.starts_with("ghr-error ") {
-            let tail = tail.strip_prefix("ghr-end\n").expect("error frame trailer");
-            frames.push((header.to_string(), String::new()));
-            rest = tail;
-            continue;
-        }
-        let bytes: usize = header
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("bytes="))
-            .expect("bytes= in header")
-            .parse()
-            .unwrap();
-        let body = &tail[..bytes];
-        let tail = tail[bytes..].strip_prefix("ghr-end\n").expect("trailer");
-        frames.push((header.to_string(), body.to_string()));
-        rest = tail;
-    }
-    frames
-}
-
 #[test]
 fn router_forwards_reroutes_and_drains_over_real_workers() {
     let dir = tmp_dir();
     let cache = dir.join("cache");
     std::fs::create_dir_all(&cache).unwrap();
     let worker_socks = [dir.join("w0.sock"), dir.join("w1.sock")];
-    let mut children: Vec<Child> = worker_socks
+    let mut children: Vec<Spawned> = worker_socks
         .iter()
         .map(|s| spawn_worker(s, &cache))
         .collect();
@@ -111,17 +70,40 @@ fn router_forwards_reroutes_and_drains_over_real_workers() {
     let router = std::thread::spawn(move || run_router(&opts));
     await_socket(&router_sock);
 
-    // The same request twice plus a non-servable line: two ok frames
-    // with identical bodies (the second answered from the owner's
-    // response cache) and one pass-through error body.
-    let out = client(&router_sock, "table1\ntable1\nno such thing\n");
+    // A duplicate pipelined in one write on a cold cluster: the router
+    // forwards both lines at once, so whichever reaches the owner first
+    // evaluates, and the other either coalesces onto that evaluation or,
+    // if it already finished, is answered from the response cache.
+    // Either way the pair evaluates once and renders one body.
+    let out = client(&router_sock, "table1\ntable1\n");
     let frames = parse_frames(&out);
-    assert_eq!(frames.len(), 3, "{out}");
-    assert!(frames[0].0.contains("status=ok"), "{}", frames[0].0);
-    assert!(frames[1].0.contains("status=ok cached=yes") || frames[1].0.contains("cached=yes"));
+    assert_eq!(frames.len(), 2, "{out}");
+    assert!(frames.iter().all(|f| f.0.contains("status=ok")), "{out}");
+    let (fresh, dup): (Vec<_>, Vec<_>) = frames.iter().partition(|f| f.0.ends_with(" cached=no"));
+    assert_eq!(fresh.len(), 1, "exactly one of the pair evaluates: {out}");
+    assert!(dup[0].0.contains(" evals=0 "), "{}", dup[0].0);
+    assert!(
+        dup[0].0.ends_with(" cached=yes") || dup[0].0.ends_with(" cached=coalesced"),
+        "{}",
+        dup[0].0
+    );
     assert_eq!(frames[0].1, frames[1].1, "same request, same body");
-    assert!(frames[2].0.contains("status=error"), "{}", frames[2].0);
-    assert!(frames[2].1.contains("not a servable"), "{}", frames[2].1);
+    let cold_body = frames[0].1.clone();
+
+    // The same request again in a second call, plus a non-servable
+    // line: the owner's response cache answers (exactly `cached=yes`)
+    // with the same body, and the error body passes through.
+    let out = client(&router_sock, "table1\nno such thing\n");
+    let frames = parse_frames(&out);
+    assert_eq!(frames.len(), 2, "{out}");
+    assert!(
+        frames[0].0.contains("status=ok") && frames[0].0.ends_with(" evals=0 cached=yes"),
+        "{}",
+        frames[0].0
+    );
+    assert_eq!(frames[0].1, cold_body, "same request, same body");
+    assert!(frames[1].0.contains("status=error"), "{}", frames[1].0);
+    assert!(frames[1].1.contains("not a servable"), "{}", frames[1].1);
 
     // Byte-identity: the owning worker, asked directly, must produce
     // exactly the warm frame the router just streamed.
@@ -131,15 +113,14 @@ fn router_forwards_reroutes_and_drains_over_real_workers() {
     let direct_frames = parse_frames(&direct);
     assert_eq!(direct_frames.len(), 1);
     assert_eq!(
-        direct_frames[0], frames[1],
+        direct_frames[0], frames[0],
         "router frame differs from the worker's own bytes"
     );
 
     // Kill the owner: table1's range walks to the ring successor, which
     // answers *warm* (zero evaluations) from the shared persistent
     // store the dead worker flushed into — no client-visible error.
-    children[owner].kill().unwrap();
-    children[owner].wait().unwrap();
+    children[owner].kill();
     let out = client(&router_sock, "table1\n");
     let frames = parse_frames(&out);
     assert_eq!(frames.len(), 1, "{out}");
@@ -161,8 +142,7 @@ fn router_forwards_reroutes_and_drains_over_real_workers() {
     // Kill the survivor too: the ring is empty and the client gets an
     // explicit error frame, never a hang.
     let survivor = 1 - owner;
-    children[survivor].kill().unwrap();
-    children[survivor].wait().unwrap();
+    children[survivor].kill();
     let out = client(&router_sock, "table1\n");
     assert_eq!(
         out, "ghr-error reason=no-live-worker\nghr-end\n",

@@ -8,13 +8,18 @@
 //! sockets and TCP, because the framing layer is supposed to be
 //! transport-blind.
 //!
-//! Two batteries:
+//! Three batteries:
 //!
 //! * **client side** — a real 2-worker cluster driven through one
 //!   router: 1-byte-at-a-time request writes, CRLF/NUL/oversized/
 //!   truncated framing violations, and a pipelined burst whose response
 //!   frames must come back in arrival order byte-identical to the same
 //!   requests sent alone;
+//! * **ordering** — the router's session model on the same kind of
+//!   cluster: a lone request (forwarded inline), then a burst whose
+//!   warm frames finish before its cold first line and must wait for
+//!   it, mixed with a malformed line and a `ghr-join`; then a client
+//!   that vanishes mid-burst;
 //! * **worker side** — a scripted fake worker attached to the router
 //!   misbehaves on the response path: a valid frame dribbled out in
 //!   2-byte segments (the `bytes=N` header split across TCP segments)
@@ -25,11 +30,13 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::{parse_frames, spawn_worker, Spawned};
 use ghr_cli::router::{route_key, run_router, HashRing, RouterOptions};
 use ghr_types::{wire, Endpoint, Listener};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::time::{Duration, Instant};
 
@@ -71,24 +78,6 @@ fn listen_options(tcp: bool, dir: &Path) -> (RouterOptions, Endpoint) {
     }
 }
 
-fn spawn_worker(sock: &Path, cache: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_ghr"))
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--sessions",
-            "4",
-            "--cache-dir",
-            cache.to_str().unwrap(),
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ghr serve")
-}
-
 fn await_endpoint(ep: &Endpoint) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while !ep.probe() {
@@ -106,33 +95,6 @@ fn client(ep: &Endpoint, lines: &str) -> String {
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
     out
-}
-
-/// Split a concatenation of `ghr-response`/`ghr-error` frames into
-/// `(header, body)` pairs.
-fn parse_frames(text: &str) -> Vec<(String, String)> {
-    let mut frames = Vec::new();
-    let mut rest = text;
-    while !rest.is_empty() {
-        let (header, tail) = rest.split_once('\n').expect("frame header line");
-        if header.starts_with("ghr-error ") {
-            let tail = tail.strip_prefix("ghr-end\n").expect("error frame trailer");
-            frames.push((header.to_string(), String::new()));
-            rest = tail;
-            continue;
-        }
-        let bytes: usize = header
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("bytes="))
-            .expect("bytes= in header")
-            .parse()
-            .unwrap();
-        let body = &tail[..bytes];
-        let tail = tail[bytes..].strip_prefix("ghr-end\n").expect("trailer");
-        frames.push((header.to_string(), body.to_string()));
-        rest = tail;
-    }
-    frames
 }
 
 /// How a scripted fake worker misbehaves on its response path.
@@ -360,8 +322,7 @@ fn torn_frame_reroutes_to_live_sibling(tcp: bool) {
 
     let _ = client(&listen, "ghr-shutdown\n");
     router.join().unwrap().expect("router drains cleanly");
-    real.kill().unwrap();
-    real.wait().unwrap();
+    real.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -375,28 +336,64 @@ fn torn_frame_reroutes_to_live_sibling_tcp() {
     torn_frame_reroutes_to_live_sibling(true);
 }
 
+/// A real 2-worker cluster over a fresh shared store, behind one
+/// in-process router.
+struct Cluster {
+    dir: PathBuf,
+    workers: Vec<Endpoint>,
+    listen: Endpoint,
+    router: std::thread::JoinHandle<Result<String, String>>,
+    _children: Vec<Spawned>,
+}
+
+impl Cluster {
+    fn start(tcp: bool, tag: &str) -> Cluster {
+        let dir = tmp_dir(&format!("{tag}-{}", if tcp { "tcp" } else { "unix" }));
+        let cache = dir.join("cache");
+        std::fs::create_dir_all(&cache).unwrap();
+        let socks = [dir.join("w0.sock"), dir.join("w1.sock")];
+        let children: Vec<Spawned> = socks.iter().map(|s| spawn_worker(s, &cache)).collect();
+        let workers: Vec<Endpoint> = socks
+            .iter()
+            .map(|s| Endpoint::unix(s.to_str().unwrap()))
+            .collect();
+        for ep in &workers {
+            await_endpoint(ep);
+        }
+        let (mut opts, listen) = listen_options(tcp, &dir);
+        opts.attach = workers.iter().map(|ep| ep.to_string()).collect();
+        opts.sessions = 4;
+        let router = std::thread::spawn(move || run_router(&opts));
+        await_endpoint(&listen);
+        Cluster {
+            dir,
+            workers,
+            listen,
+            router,
+            _children: children,
+        }
+    }
+
+    /// Send `ghr-shutdown`; the router must drain promptly, which means
+    /// every session it ever accepted has ended.
+    fn shutdown(self) {
+        let _ = client(&self.listen, "ghr-shutdown\n");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let router = self.router;
+        std::thread::spawn(move || tx.send(router.join()));
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the router must drain, not hang")
+            .unwrap()
+            .expect("router drains cleanly");
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 /// The client-side battery: trickled writes, framing violations, and a
 /// pipelined burst, all through one real 2-worker cluster.
 fn client_side_battery(tcp: bool) {
-    let dir = tmp_dir(if tcp { "client-tcp" } else { "client-unix" });
-    let cache = dir.join("cache");
-    std::fs::create_dir_all(&cache).unwrap();
-    let worker_socks = [dir.join("w0.sock"), dir.join("w1.sock")];
-    let mut children: Vec<Child> = worker_socks
-        .iter()
-        .map(|s| spawn_worker(s, &cache))
-        .collect();
-    for sock in &worker_socks {
-        await_endpoint(&Endpoint::unix(sock.to_str().unwrap()));
-    }
-    let (mut opts, listen) = listen_options(tcp, &dir);
-    opts.attach = worker_socks
-        .iter()
-        .map(|s| s.to_str().unwrap().to_string())
-        .collect();
-    opts.sessions = 4;
-    let router = std::thread::spawn(move || run_router(&opts));
-    await_endpoint(&listen);
+    let cluster = Cluster::start(tcp, "client");
+    let listen = &cluster.listen;
 
     // 1-byte-at-a-time request write: the line assembles on the router
     // side regardless of how many reads the transport splits it into.
@@ -455,14 +452,14 @@ fn client_side_battery(tcp: bool) {
     ];
     let mut solo = Vec::new();
     for req in &burst {
-        let _ = client(&listen, &format!("{req}\n"));
-        let out = client(&listen, &format!("{req}\n"));
+        let _ = client(listen, &format!("{req}\n"));
+        let out = client(listen, &format!("{req}\n"));
         let frames = parse_frames(&out);
         assert_eq!(frames.len(), 1, "tcp={tcp}: {out}");
         solo.push(frames[0].clone());
     }
     let all: String = burst.iter().map(|r| format!("{r}\n")).collect();
-    let out = client(&listen, &all);
+    let out = client(listen, &all);
     let frames = parse_frames(&out);
     assert_eq!(frames.len(), burst.len(), "tcp={tcp}: {out}");
     for (i, (frame, want)) in frames.iter().zip(&solo).enumerate() {
@@ -473,13 +470,7 @@ fn client_side_battery(tcp: bool) {
         );
     }
 
-    let _ = client(&listen, "ghr-shutdown\n");
-    router.join().unwrap().expect("router drains cleanly");
-    for child in &mut children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    cluster.shutdown();
 }
 
 #[test]
@@ -490,4 +481,96 @@ fn client_side_battery_unix() {
 #[test]
 fn client_side_battery_tcp() {
     client_side_battery(true);
+}
+
+/// The frame `line` gets when it is a connection's only request.
+fn solo(listen: &Endpoint, line: &str) -> (String, String) {
+    let out = client(listen, &format!("{line}\n"));
+    let frames = parse_frames(&out);
+    assert_eq!(frames.len(), 1, "{line}: {out}");
+    frames[0].clone()
+}
+
+/// The router's ordering path. A lone request is forwarded on the
+/// session thread; the burst after it on the same connection fans out.
+/// The burst's cold line finishes last, so the warm frames behind it
+/// wait in the reorder map, and the malformed line and the join are
+/// answered by the session thread in between. Every frame must still
+/// equal its line's solo frame, in arrival order. Then a client that
+/// closes mid-burst must end its session quietly: the router keeps
+/// serving and still drains.
+fn ordering_battery(tcp: bool) {
+    let cluster = Cluster::start(tcp, "order");
+    let listen = &cluster.listen;
+    let join = format!("{}{}", wire::JOIN_PREFIX, cluster.workers[0]);
+    let warm = ["table1", "whatif", "fig1 c1"];
+    for line in &warm {
+        let _ = client(listen, &format!("{line}\n"));
+    }
+    // The cold line's solo frame, from a lone server with a fresh engine:
+    // the cluster itself has never seen this request.
+    let cold = "dot c4";
+    let mut fresh = Vec::new();
+    ghr_cli::serve::serve_loop(
+        &ghr_core::engine::Engine::new(ghr_machine::MachineConfig::gh200(), 2),
+        BufReader::new(format!("{cold}\n").as_bytes()),
+        &mut fresh,
+        &mut std::io::sink(),
+    )
+    .unwrap();
+    let mut want = parse_frames(&String::from_utf8(fresh).unwrap());
+    want.extend(warm.iter().map(|line| solo(listen, line)));
+    want.push((
+        format!("{}{}", wire::ERROR_PREFIX, wire::REASON_NUL),
+        String::new(),
+    ));
+    want.push(solo(listen, &join));
+
+    let table1 = solo(listen, "table1");
+    let mut stream = listen.connect().unwrap();
+    stream.write_all(b"table1\n").unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut lone = vec![0; format!("{}\n{}ghr-end\n", table1.0, table1.1).len()];
+    reader.read_exact(&mut lone).unwrap();
+    assert_eq!(
+        parse_frames(&String::from_utf8(lone).unwrap()),
+        vec![table1.clone()],
+        "tcp={tcp}: lone request"
+    );
+    let burst = format!("{cold}\n{}\nbad\0byte\n{join}\n", warm.join("\n"));
+    stream.write_all(burst.as_bytes()).unwrap();
+    stream.shutdown_write().unwrap();
+    let mut out = String::new();
+    reader.read_to_string(&mut out).unwrap();
+    let frames = parse_frames(&out);
+    assert_eq!(frames.len(), want.len(), "tcp={tcp}: {out}");
+    for (i, (frame, want)) in frames.iter().zip(&want).enumerate() {
+        assert_eq!(
+            frame, want,
+            "tcp={tcp}: burst frame {i} differs from its solo frame"
+        );
+    }
+
+    // Close mid-burst: cold lines still in flight when the client goes.
+    let mut stream = listen.connect().unwrap();
+    stream
+        .write_all(b"dot c1\nscan c1\ngemv c1\ndot c2\nscan c2\ngemv c2\n")
+        .unwrap();
+    drop(stream);
+    assert_eq!(
+        solo(listen, "table1"),
+        table1,
+        "tcp={tcp}: the router must keep serving after a client vanishes"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn ordering_battery_unix() {
+    ordering_battery(false);
+}
+
+#[test]
+fn ordering_battery_tcp() {
+    ordering_battery(true);
 }
